@@ -716,7 +716,7 @@ func (s *System) accessLine(cpu int, line int64, lo, hi int32, write bool, st *S
 			ownerCPU := int(li.owner)
 			if s.downgradeOwner(ownerCPU, line) {
 				st.Writebacks++
-				}
+			}
 			li.owner = -1
 			newState = Shared
 		} else if !li.sharers.empty() {
@@ -856,7 +856,10 @@ func (s *System) insert(cpu int, setIdx int64, li *lineInfo, newState State, st 
 }
 
 // StateOf reports the MESI state of the line holding addr in the CPU's
-// cache (Invalid if absent). Intended for tests.
+// cache (Invalid if absent). It is a read-only probe — no LRU update, no
+// counter — so the execution engine can ask whether a read would hit
+// before deciding whether the read needs a scheduler turn. The scan starts
+// at the MRU slot, where a repeat access finds its line.
 func (s *System) StateOf(cpu int, addr int64) State {
 	line := addr >> s.lineShift
 	c := &s.caches[cpu]
@@ -865,7 +868,7 @@ func (s *System) StateOf(cpu int, addr int64) State {
 	}
 	setIdx := line & s.setMask
 	base := int(setIdx) * s.cfg.Ways
-	for i := base; i < base+int(c.n[setIdx]); i++ {
+	for i := base + int(c.n[setIdx]) - 1; i >= base; i-- {
 		if c.lines[i] == line {
 			return c.state[i]
 		}

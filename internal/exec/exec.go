@@ -18,6 +18,7 @@ package exec
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"structlayout/internal/coherence"
@@ -187,7 +188,14 @@ type Runner struct {
 
 	sim simState
 
+	// Read-only-hit runahead (see engine.commutes): lineShift turns an
+	// address into its line, and written marks every arena line that some
+	// write, lock or unlock instruction can touch.
+	lineShift uint
+	written   []uint64
+
 	completed int64
+	crossings int64 // scheduler turns, summed over engines
 	ran       bool
 
 	// slowPath disables the superblock fast path (compute merging, tight
@@ -347,6 +355,7 @@ func (r *Runner) Run() (*Result, error) {
 		return nil, err
 	}
 	r.buildInstTables()
+	r.initRunahead()
 	r.coh.ReserveDirectory(r.nextAdr)
 
 	// Partition threads into footprint-disjoint groups and run each group
@@ -423,9 +432,12 @@ func (r *Runner) Run() (*Result, error) {
 // management (sequence/loop/if bookkeeping) falls through to step().
 //
 // The yield condition is checked before every instruction (see engine.run
-// for the invariant), so the global order of coherence accesses is a pure
-// function of thread time trajectories — bit-identical between the
-// superblock path, the one-step-at-a-time slow path, and any grouping.
+// for the invariant), so the global order of interacting operations is a
+// pure function of thread time trajectories — bit-identical between the
+// superblock path, the one-step-at-a-time slow path, and any grouping. The
+// superblock path alone also lets read-only cache hits run past the limit
+// (engine.commutes); they interact with nothing, so results stay
+// identical while the slow path keeps its yield before every access.
 func (g *engine) runUntil(t *thread, limit int64) error {
 	r := g.r
 	for {
@@ -434,6 +446,21 @@ func (g *engine) runUntil(t *thread, limit int64) error {
 			dins := f.dins
 			for f.idx < len(dins) {
 				in := &dins[f.idx]
+				if in.op == ir.OpField {
+					// Resolve the address once, for both the runahead check
+					// and the access. An unresolvable instance yields like
+					// any access and fails only when it would execute.
+					addr, err := r.fieldAddr(t, in)
+					if g.key(t) > limit && (err != nil || !g.commutes(t, in, addr)) && g.yieldCheck(t, limit, in) {
+						return nil
+					}
+					if err != nil {
+						return err
+					}
+					f.idx++
+					g.accessField(t, in, addr)
+					continue
+				}
 				// Hoisted fast path of yieldCheck: while the thread holds
 				// the lexicographic minimum, no op can require a yield.
 				if g.key(t) > limit && g.yieldCheck(t, limit, in) {
@@ -463,6 +490,58 @@ func (g *engine) runUntil(t *thread, limit int64) error {
 		}
 		if yielded || t.done || t.parked || len(g.woken) > 0 {
 			return nil
+		}
+	}
+}
+
+// initRunahead enables read-only-hit runahead (engine.commutes) for the
+// threads it is sound for, and builds the written-line bitmap it checks.
+// The run must be exact with no collector: sampled mode's yield points are
+// part of its interleaving (see yieldCheck), and the collector observes
+// every access in global time order. A thread must be alone on its CPU,
+// since a co-located thread's fills could evict the line between the
+// early read and its exact turn. The bitmap is built from the
+// deduplicated written (arena, field) pairs, each marked on every instance
+// an instruction could select; it covers arena lines only, since regions
+// are allocated on lines of their own.
+func (r *Runner) initRunahead() {
+	if r.sim.enabled || r.collector != nil {
+		return
+	}
+	onCPU := make([]int, r.cfg.Topo.NumCPUs())
+	for _, t := range r.threads {
+		onCPU[t.cpu]++
+	}
+	for _, t := range r.threads {
+		t.runahead = onCPU[t.cpu] == 1
+	}
+
+	writes := make([][]bool, len(r.arenaList))
+	for i, a := range r.arenaList {
+		writes[i] = make([]bool, len(a.stats))
+	}
+	for _, ds := range r.dec {
+		for i := range ds {
+			d := &ds[i]
+			if d.op == ir.OpLock || d.op == ir.OpUnlock || d.op == ir.OpField && d.write {
+				writes[d.arena.idx][d.field] = true
+			}
+		}
+	}
+	r.lineShift = uint(bits.TrailingZeros64(uint64(r.cfg.Cache.LineSize)))
+	r.written = make([]uint64, r.nextAdr>>r.lineShift>>6+1)
+	for i, a := range r.arenaList {
+		for fi, w := range writes[i] {
+			if !w {
+				continue
+			}
+			off, size := int64(a.lay.Offsets[fi]), int64(a.lay.Struct.Fields[fi].Size)
+			for idx := int64(0); idx < int64(a.count); idx++ {
+				lo := a.base + idx*a.stride + off
+				for l := lo >> r.lineShift; l <= (lo+size-1)>>r.lineShift; l++ {
+					r.written[l>>6] |= 1 << (l & 63)
+				}
+			}
 		}
 	}
 }
@@ -545,4 +624,3 @@ func mergeComputes(ds []decInstr) []decInstr {
 	}
 	return out
 }
-

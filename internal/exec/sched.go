@@ -2,8 +2,10 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
+	"structlayout/internal/coherence"
 	"structlayout/internal/ir"
 	"structlayout/internal/profile"
 )
@@ -21,9 +23,10 @@ type engine struct {
 
 	// idShift packs a thread's scheduling key (time, id) into one int64:
 	// time<<idShift | id. A single integer compare is then the full
-	// lexicographic order, removing the tie-break branch from every heap
+	// lexicographic order, removing the tie-break branch from every queue
 	// compare and yield check. idShift is the bit width of the group's
-	// largest thread id; timeCap guards the shift against overflow.
+	// largest thread id (and the depth of its slot tree); timeCap guards
+	// the shift against overflow.
 	idShift uint
 	timeCap int64
 
@@ -32,6 +35,7 @@ type engine struct {
 	woken []*thread     // threads released by the current step's unlock
 
 	completed int64
+	crossings int64 // scheduler turns: runUntil calls
 }
 
 func (r *Runner) newEngine(ts []*thread) *engine {
@@ -55,6 +59,7 @@ func (r *Runner) newEngine(ts []*thread) *engine {
 // accumulator is a commutative sum, so merge order cannot affect results.
 func (r *Runner) merge(g *engine) error {
 	r.completed += g.completed
+	r.crossings += g.crossings
 	for i, a := range r.arenaList {
 		for fi := range g.stats[i] {
 			s, d := &g.stats[i][fi], &a.stats[fi]
@@ -77,62 +82,72 @@ func (g *engine) key(t *thread) int64 {
 
 // run executes the group's threads to completion.
 //
-// Scheduling invariant: a shared operation (lock/unlock always; field and
-// region accesses unless sampled off-window) executes only when its
-// thread's pre-op (time, id) is the lexicographic minimum over the group's
-// runnable threads. Non-shared operations (compute, calls, control
-// bookkeeping, off-window accesses) never yield — they are invisible to
-// other threads, so executing them past the limit commutes with everything.
-// The order of shared operations is therefore a pure function of the
-// threads' virtual-time trajectories, independent of yield granularity and
-// of whatever other groups do — which is what makes group-parallel
-// execution byte-identical to serial.
+// Scheduling invariant: a shared operation — one that can interact with
+// another thread's — executes only when its thread's pre-op (time, id) is
+// the lexicographic minimum over the group's runnable threads. Locks and
+// unlocks are always shared; field and region accesses are shared unless
+// sampled off-window (bounded runahead, see yieldCheck) or a read that
+// hits a line nothing writes (exempt, see commutes). Everything else (compute, calls,
+// control bookkeeping) never yields. Operations that cannot interact
+// commute with every other thread's, so executing them past the limit
+// changes nothing another thread observes. The order of shared operations
+// is therefore a pure function of the threads' virtual-time trajectories,
+// independent of yield granularity and of whatever other groups do — which
+// is what makes group-parallel execution byte-identical to serial.
 func (g *engine) run() error {
-	q := make(tq, 0, len(g.threads))
+	q := newSlotTree(g.idShift)
 	for _, t := range g.threads {
-		q.push(g.key(t), t)
+		q.set(t.id, g.key(t))
 	}
+	idMask := int64(1)<<g.idShift - 1
 	parked := 0
-	for len(q) > 0 {
-		t := q[0].t
-		limit := int64(1<<63 - 1)
-		if len(q) > 1 {
-			// The limit is the next-smallest key: the lesser child of the
-			// heap root.
-			limit = q[1].key
-			if len(q) > 2 && q[2].key < limit {
-				limit = q[2].key
-			}
-		}
-		if err := g.runUntil(t, limit); err != nil {
+	for root := q.n[1]; root.lo != idle; root = q.n[1] {
+		// The root names the next thread and, as the runner-up key, the
+		// limit it may run to.
+		t := g.r.threads[root.lo&idMask]
+		g.crossings++
+		if err := g.runUntil(t, root.hi); err != nil {
 			return err
 		}
-		if t.time >= g.timeCap {
-			// Unreachable in practice (2^55 cycles for a 128-thread group);
-			// fail loudly rather than let the packed key wrap.
-			return fmt.Errorf("exec: thread %d virtual time %d exceeds scheduler cap %d", t.id, t.time, g.timeCap)
+		if err := g.checkCap(t); err != nil {
+			return err
 		}
 		switch {
 		case t.done:
-			q.popRoot()
+			q.set(t.id, idle)
 		case t.parked:
-			q.popRoot()
+			q.set(t.id, idle)
 			parked++
 		default:
-			q.syncRoot(g.key(t))
+			q.set(t.id, g.key(t))
 		}
 		// Re-queue anything the step released. runUntil returns the moment
 		// a wake happens, so the next iteration's limit includes the woken
 		// thread — without this, the running thread could race past it.
 		for _, w := range g.woken {
+			// A woken thread resumes after the lock handoff, later than its
+			// waker: check it too before its key is packed.
+			if err := g.checkCap(w); err != nil {
+				return fmt.Errorf("%w (woken by thread %d)", err, t.id)
+			}
 			w.parked = false
 			parked--
-			q.push(g.key(w), w)
+			q.set(w.id, g.key(w))
 		}
 		g.woken = g.woken[:0]
 	}
 	if parked > 0 {
 		return fmt.Errorf("exec: deadlock: %d threads still parked", parked)
+	}
+	return nil
+}
+
+// checkCap fails the run when a thread's virtual time reaches the packed
+// key's overflow guard. Unreachable in practice (2^55 cycles for a
+// 128-thread group); failing loudly beats letting the key wrap.
+func (g *engine) checkCap(t *thread) error {
+	if t.time >= g.timeCap {
+		return fmt.Errorf("exec: thread %d virtual time %d exceeds scheduler cap %d", t.id, t.time, g.timeCap)
 	}
 	return nil
 }
@@ -162,79 +177,68 @@ func (g *engine) yieldCheck(t *thread, limit int64, in *decInstr) bool {
 	return false
 }
 
-// tq is an inline binary min-heap on packed (time, id) keys. It replaces
-// container/heap on the scheduler's hottest edge: the common transition
-// "root ran, root's time grew" is one sift-down with no interface calls.
-// The keys live inline in the heap entries — a 128-thread group's whole
-// heap is a few cache lines of contiguous keys — so sifting never chases
-// thread pointers; only the root's key is refreshed (syncRoot) after its
-// thread runs. Binary beats higher arity here: the root's key typically
-// grows only just past the lesser child (the scheduling limit), so sifts
-// terminate after a level or two and wider nodes only add compares.
-type tqEnt struct {
-	key int64 // engine.key(t): time<<idShift | id
-	t   *thread
-}
-
-type tq []tqEnt
-
-func (q *tq) push(key int64, t *thread) {
-	*q = append(*q, tqEnt{key: key, t: t})
-	h := *q
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[i].key >= h[p].key {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
+// commutes reports whether the field access in at addr may run past the
+// scheduler limit (read-only-hit runahead): a read by a runahead thread
+// (see Runner.initRunahead) that touches one line no write, lock or unlock
+// instruction of the program can touch, and that hits in the reader's
+// cache. Such a read commutes with every other thread's operation:
+//
+//   - nothing can invalidate a never-written line, so it hits at its exact
+//     turn too, and its latency — hence the thread's trajectory — is the
+//     same;
+//   - it changes only the LRU order of the reader's own set, and the only
+//     things other threads do to that cache (removeLine on other lines,
+//     downgradeOwner on any line) commute with the rotation;
+//   - the counters it bumps are commutative sums.
+//
+// Only the superblock fast path asks; the slow path stays the reference
+// that yields before every shared access.
+func (g *engine) commutes(t *thread, in *decInstr, addr int64) bool {
+	r := g.r
+	if !t.runahead || in.write {
+		return false
 	}
-}
-
-// syncRoot refreshes the root's key and restores heap order (the key can
-// only have grown).
-func (q tq) syncRoot(key int64) {
-	q[0].key = key
-	q.fixRoot()
-}
-
-// fixRoot restores heap order after the root's key increased. The sift
-// moves a hole down and writes the displaced entry once at the end: after
-// a long-latency miss the root sinks most of the way to the bottom, and
-// the hole form does one entry store per level where a swap does three.
-func (q tq) fixRoot() {
-	n := len(q)
-	if n < 2 {
-		return
+	line := addr >> r.lineShift
+	if (addr+int64(in.size)-1)>>r.lineShift != line || r.written[line>>6]&(1<<(line&63)) != 0 {
+		return false
 	}
-	ent := q[0]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && q[r].key < q[l].key {
-			m = r
-		}
-		if q[m].key >= ent.key {
-			break
-		}
-		q[i] = q[m]
-		i = m
-	}
-	q[i] = ent
+	return r.coh.StateOf(t.cpu, addr) != coherence.Invalid
 }
 
-func (q *tq) popRoot() {
-	h := *q
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = tqEnt{}
-	*q = h[:n]
-	if n > 1 {
-		(*q).fixRoot()
+// idle is the key of a slot with no runnable thread.
+const idle = math.MaxInt64
+
+// slotTree is the scheduler queue: a tournament tree over thread-id slots.
+// Leaf id holds thread id's packed key while it is runnable and idle
+// otherwise; every node keeps the smallest and second-smallest key of its
+// subtree. The root therefore names both the next thread (its smallest key
+// carries the id) and that thread's limit (the runner-up key), and a key
+// change is one fixed leaf-to-root walk of log₂(slots) branch-free
+// min/max steps — no child choice, no early exit to mispredict, and the
+// nodes of a 128-thread group fit in 4 KiB.
+type slotTree struct {
+	n []minPair // root at 1; leaf id at len(n)/2 + id
+}
+
+// minPair is a subtree's two smallest keys, lo <= hi.
+type minPair struct{ lo, hi int64 }
+
+// newSlotTree builds an all-idle tree with 1<<idBits leaf slots.
+func newSlotTree(idBits uint) slotTree {
+	q := slotTree{n: make([]minPair, 2<<idBits)}
+	for i := range q.n {
+		q.n[i] = minPair{idle, idle}
+	}
+	return q
+}
+
+// set gives slot id the key (idle removes it) and recomputes its path.
+func (q slotTree) set(id int, key int64) {
+	i := len(q.n)/2 + id
+	q.n[i].lo = key
+	for i > 1 {
+		i >>= 1
+		a, b := q.n[2*i], q.n[2*i+1]
+		q.n[i] = minPair{min(a.lo, b.lo), min(max(a.lo, b.lo), a.hi, b.hi)}
 	}
 }

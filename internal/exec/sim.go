@@ -228,8 +228,8 @@ func (r *Runner) sampledInfo(raw coherence.Stats) *SampledInfo {
 	}
 	pinned := r.coh.PinnedStats()
 	info := &SampledInfo{
-		WindowOps: r.cfg.Sim.WindowOps,
-		Period:    r.cfg.Sim.Period,
+		WindowOps:    r.cfg.Sim.WindowOps,
+		Period:       r.cfg.Sim.Period,
 		SimulatedOps: raw.Accesses + pinned.Accesses,
 		SkippedOps:   off,
 		Scale:        1,

@@ -53,6 +53,9 @@ type thread struct {
 
 	done   bool
 	parked bool
+	// runahead lets the thread's read-only cache hits skip the scheduler
+	// (see Runner.initRunahead and engine.commutes).
+	runahead bool
 
 	// Sampled-mode state (see sim.go): the access counter that clocks the
 	// sampling windows, the cached decision for the current window, and
@@ -251,26 +254,11 @@ func (g *engine) execInstr(t *thread, in *decInstr) error {
 		t.pushSeq(in.callee.Tree)
 		g.sample(t)
 	case ir.OpField:
-		a := in.arena
-		idx, err := r.instIndex(t, a, in)
+		addr, err := r.fieldAddr(t, in)
 		if err != nil {
 			return err
 		}
-		addr := a.base + int64(idx)*a.stride + in.fieldOff
-		if r.sim.enabled && !r.simNext(t) {
-			// Off-window: functional warming. The MESI transition (and its
-			// real latency) happens; only the statistics are discarded, so
-			// the next measured window opens on exact-run cache state.
-			res := r.coh.Warm(t.cpu, addr, in.size, in.write)
-			t.time += res.Latency
-			t.offOps++
-			return nil
-		}
-		var res coherence.AccessResult
-		r.coh.AccessInto(t.cpu, addr, in.size, in.write, &res)
-		t.time += res.Latency
-		g.record(a, in.field, &res)
-		g.sample(t)
+		g.accessField(t, in, addr)
 	case ir.OpMem:
 		addr, err := r.memAddr(t, in)
 		if err != nil {
@@ -296,6 +284,35 @@ func (g *engine) execInstr(t *thread, in *decInstr) error {
 		return fmt.Errorf("exec: unknown opcode %d", in.op)
 	}
 	return nil
+}
+
+// fieldAddr resolves a field access address.
+func (r *Runner) fieldAddr(t *thread, in *decInstr) (int64, error) {
+	a := in.arena
+	idx, err := r.instIndex(t, a, in)
+	if err != nil {
+		return 0, err
+	}
+	return a.base + int64(idx)*a.stride + in.fieldOff, nil
+}
+
+// accessField performs a field access at its resolved address.
+func (g *engine) accessField(t *thread, in *decInstr, addr int64) {
+	r := g.r
+	if r.sim.enabled && !r.simNext(t) {
+		// Off-window: functional warming. The MESI transition (and its
+		// real latency) happens; only the statistics are discarded, so
+		// the next measured window opens on exact-run cache state.
+		res := r.coh.Warm(t.cpu, addr, in.size, in.write)
+		t.time += res.Latency
+		t.offOps++
+		return
+	}
+	var res coherence.AccessResult
+	r.coh.AccessInto(t.cpu, addr, in.size, in.write, &res)
+	t.time += res.Latency
+	g.record(in.arena, in.field, &res)
+	g.sample(t)
 }
 
 // memAddr resolves a region access address.

@@ -361,11 +361,11 @@ func TestHBExclusiveFeedsMHP(t *testing.T) {
 // the summary path must be bit-identical to the exact oracle.
 func TestSummaryEqualsExactOnHBPrograms(t *testing.T) {
 	srcs := map[string]string{
-		"forkjoin":  hbForkJoinSrc,
-		"pipeline":  hbPipelineSrc,
-		"unjoined":  strings.Replace(hbForkJoinSrc, "    join h\n", "", 1),
-		"iterated":  strings.Replace(hbForkJoinSrc, "thread 0 parent iters 1", "thread 0 parent iters 3", 1),
-		"postsend":  strings.Replace(hbPipelineSrc, "    write S.a shared 0\n    send c\n", "    send c\n    write S.a shared 0\n", 1),
+		"forkjoin": hbForkJoinSrc,
+		"pipeline": hbPipelineSrc,
+		"unjoined": strings.Replace(hbForkJoinSrc, "    join h\n", "", 1),
+		"iterated": strings.Replace(hbForkJoinSrc, "thread 0 parent iters 1", "thread 0 parent iters 3", 1),
+		"postsend": strings.Replace(hbPipelineSrc, "    write S.a shared 0\n    send c\n", "    send c\n    write S.a shared 0\n", 1),
 	}
 	for name, src := range srcs {
 		sum := analyzeSrc(t, src, false)
