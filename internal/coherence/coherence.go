@@ -224,6 +224,16 @@ func (c *cpuCache) init(cfg Config) {
 	c.n = make([]int16, cfg.Sets)
 }
 
+// promote rotates slot i of a set into the set's MRU slot mru, shifting
+// the slots above i down by one: the LRU bump of a hit.
+func (c *cpuCache) promote(i, mru int) {
+	line, li, state := c.lines[i], c.info[i], c.state[i]
+	copy(c.lines[i:mru], c.lines[i+1:])
+	copy(c.info[i:mru], c.info[i+1:])
+	copy(c.state[i:mru], c.state[i+1:])
+	c.lines[mru], c.info[mru], c.state[mru] = line, li, state
+}
+
 // slabSize is how many lineInfo entries (and their three bitsets) one
 // directory slab allocation holds.
 const slabSize = 256
@@ -632,23 +642,17 @@ func (s *System) accessLine(cpu int, line int64, lo, hi int32, write bool, st *S
 		if c.lines[i] != line {
 			continue
 		}
-		li := c.info[i]
-		state := c.state[i]
 		// Present. Bump LRU: rotate the line to the MRU slot.
 		mru := base + n - 1
-		copy(c.lines[i:mru], c.lines[i+1:mru+1])
-		copy(c.info[i:mru], c.info[i+1:mru+1])
-		copy(c.state[i:mru], c.state[i+1:mru+1])
-		c.lines[mru], c.info[mru] = line, li
+		c.promote(i, mru)
+		li := c.info[mru]
 		if !write {
-			c.state[mru] = state
 			st.Hits++
 			res.Latency = s.topo.HitLatency
 			return
 		}
-		switch state {
+		switch c.state[mru] {
 		case Modified:
-			c.state[mru] = state
 			st.Hits++
 			li.recordWrite(cpu, lo, hi)
 			res.Latency = s.topo.HitLatency
@@ -855,11 +859,44 @@ func (s *System) insert(cpu int, setIdx int64, li *lineInfo, newState State, st 
 	c.n[setIdx] = int16(n + 1)
 }
 
+// ReadHit performs cpu's read of the line holding addr if that read hits,
+// and reports whether it did. A hit does exactly what AccessInto would for
+// the read — rotates the line to the MRU slot, counts the access and the
+// hit, and fills *res with the hit latency and Supplier -1 — in one scan
+// that starts at the MRU slot, where a repeat access finds its line. A miss
+// changes nothing, res included. The caller guarantees the read does not
+// straddle a line: ReadHit looks only at addr's line.
+//
+// The execution engine's read-only-hit runahead (see engine.readAhead)
+// uses it to probe and perform a read in one step.
+func (s *System) ReadHit(cpu int, addr int64, res *AccessResult) bool {
+	c := &s.caches[cpu]
+	if c.n == nil {
+		return false
+	}
+	line := addr >> s.lineShift
+	setIdx := line & s.setMask
+	base := int(setIdx) * s.cfg.Ways
+	mru := base + int(c.n[setIdx]) - 1
+	for i := mru; i >= base; i-- {
+		if c.lines[i] != line {
+			continue
+		}
+		if i != mru {
+			c.promote(i, mru)
+		}
+		st := &s.perCPU[cpu]
+		st.Accesses++
+		st.Hits++
+		*res = AccessResult{Latency: s.topo.HitLatency, Supplier: -1}
+		return true
+	}
+	return false
+}
+
 // StateOf reports the MESI state of the line holding addr in the CPU's
-// cache (Invalid if absent). It is a read-only probe — no LRU update, no
-// counter — so the execution engine can ask whether a read would hit
-// before deciding whether the read needs a scheduler turn. The scan starts
-// at the MRU slot, where a repeat access finds its line.
+// cache (Invalid if absent). It is a read-only observation probe — no LRU
+// update, no counter.
 func (s *System) StateOf(cpu int, addr int64) State {
 	line := addr >> s.lineShift
 	c := &s.caches[cpu]

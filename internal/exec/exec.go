@@ -136,34 +136,6 @@ type lockState struct {
 	waiters []*thread
 }
 
-// decInstr is one pre-decoded instruction: every name and layout lookup an
-// access needs (arena pointer, field offset/size, region index, callee) is
-// resolved once at Run start, so the interpreter's inner loop performs no
-// map probes.
-type decInstr struct {
-	op    ir.Opcode
-	write bool
-
-	cycles int64         // OpCompute
-	callee *ir.Procedure // OpCall
-
-	arena    *arena // OpField / OpLock / OpUnlock
-	field    int32
-	fieldOff int64
-	size     int
-	inst     ir.InstExpr
-	// instIdx is the decode-resolved instance for shared-instance
-	// expressions (the index is the same for every thread); other kinds
-	// resolve through the per-thread tables (see instIndex).
-	instIdx int32
-
-	region    *regionAlloc // OpMem
-	regionIdx int32
-	pattern   ir.MemPattern
-	stride    int64
-	offset    int64
-}
-
 // Runner executes one configuration of one program. Build it, define
 // arenas/layouts and threads, then call Run once.
 type Runner struct {
@@ -180,7 +152,7 @@ type Runner struct {
 	regionIdx map[string]int
 	nextAdr   int64
 
-	dec [][]decInstr // per-block decoded instructions, indexed by BlockID
+	code [][]decInstr // per-procedure code streams, indexed like prog.Procs (see decode)
 
 	threads []*thread
 	cpuUsed map[int]bool
@@ -188,7 +160,7 @@ type Runner struct {
 
 	sim simState
 
-	// Read-only-hit runahead (see engine.commutes): lineShift turns an
+	// Read-only-hit runahead (see engine.readAhead): lineShift turns an
 	// address into its line, and written marks every arena line that some
 	// write, lock or unlock instruction can touch.
 	lineShift uint
@@ -198,10 +170,10 @@ type Runner struct {
 	crossings int64 // scheduler turns, summed over engines
 	ran       bool
 
-	// slowPath disables the superblock fast path (compute merging, tight
-	// in-block loop, frameless compute blocks), forcing the reference
-	// one-step-at-a-time interpreter. Test-only: the equivalence tests run
-	// both paths and require identical Results.
+	// slowPath disables compute merging and read-only-hit runahead, so the
+	// interpreter times every compute separately and yields before every
+	// shared access past the limit: the reference the equivalence tests
+	// require identical Results against. Test-only.
 	slowPath bool
 }
 
@@ -331,7 +303,6 @@ func (r *Runner) AddThread(cpu int, proc string, params []int, iterations int64)
 		rng:     rand.New(rand.NewSource(r.cfg.Seed*7919 + int64(cpu)*104729 + 13)),
 		cursors: make([]int64, len(r.prog.Regions)),
 	}
-	t.pushSeq(pr.Tree)
 	r.cpuUsed[cpu] = true
 	r.threads = append(r.threads, t)
 	return nil
@@ -422,90 +393,18 @@ func (r *Runner) Run() (*Result, error) {
 	return res, nil
 }
 
-// runUntil advances one thread until it yields the CPU: it would execute a
-// shared operation without holding the group's lexicographic-minimum
-// (time, id), it parks on a lock, it wakes another thread, or it finishes.
-// It is the scheduling-point boundary of the superblock fast path:
-// straight-line instruction runs inside a basic block execute in the tight
-// inner loop below — one frame lookup per run instead of one full step()
-// dispatch (stack probe + frame-kind switch) per instruction — while frame
-// management (sequence/loop/if bookkeeping) falls through to step().
-//
-// The yield condition is checked before every instruction (see engine.run
-// for the invariant), so the global order of interacting operations is a
-// pure function of thread time trajectories — bit-identical between the
-// superblock path, the one-step-at-a-time slow path, and any grouping. The
-// superblock path alone also lets read-only cache hits run past the limit
-// (engine.commutes); they interact with nothing, so results stay
-// identical while the slow path keeps its yield before every access.
-func (g *engine) runUntil(t *thread, limit int64) error {
-	r := g.r
-	for {
-		if n := len(t.stack); !r.slowPath && n > 0 && t.stack[n-1].kind == fBlock {
-			f := &t.stack[n-1]
-			dins := f.dins
-			for f.idx < len(dins) {
-				in := &dins[f.idx]
-				if in.op == ir.OpField {
-					// Resolve the address once, for both the runahead check
-					// and the access. An unresolvable instance yields like
-					// any access and fails only when it would execute.
-					addr, err := r.fieldAddr(t, in)
-					if g.key(t) > limit && (err != nil || !g.commutes(t, in, addr)) && g.yieldCheck(t, limit, in) {
-						return nil
-					}
-					if err != nil {
-						return err
-					}
-					f.idx++
-					g.accessField(t, in, addr)
-					continue
-				}
-				// Hoisted fast path of yieldCheck: while the thread holds
-				// the lexicographic minimum, no op can require a yield.
-				if g.key(t) > limit && g.yieldCheck(t, limit, in) {
-					return nil
-				}
-				f.idx++
-				if err := g.execInstr(t, in); err != nil {
-					return err
-				}
-				if t.parked || len(g.woken) > 0 {
-					return nil
-				}
-				if len(t.stack) != n {
-					// A call pushed a frame (appending may relocate the
-					// stack, invalidating f); resume via the outer loop.
-					break
-				}
-			}
-			if len(t.stack) == n && f.idx >= len(f.dins) {
-				t.pop()
-			}
-			continue
-		}
-		yielded, err := g.step(t, limit)
-		if err != nil {
-			return err
-		}
-		if yielded || t.done || t.parked || len(g.woken) > 0 {
-			return nil
-		}
-	}
-}
-
-// initRunahead enables read-only-hit runahead (engine.commutes) for the
+// initRunahead enables read-only-hit runahead (engine.readAhead) for the
 // threads it is sound for, and builds the written-line bitmap it checks.
 // The run must be exact with no collector: sampled mode's yield points are
-// part of its interleaving (see yieldCheck), and the collector observes
-// every access in global time order. A thread must be alone on its CPU,
+// part of its interleaving (see accessYields), and the collector observes
+// every access in global time order. The slow path never runs ahead. A thread must be alone on its CPU,
 // since a co-located thread's fills could evict the line between the
 // early read and its exact turn. The bitmap is built from the
 // deduplicated written (arena, field) pairs, each marked on every instance
 // an instruction could select; it covers arena lines only, since regions
 // are allocated on lines of their own.
 func (r *Runner) initRunahead() {
-	if r.sim.enabled || r.collector != nil {
+	if r.sim.enabled || r.collector != nil || r.slowPath {
 		return
 	}
 	onCPU := make([]int, r.cfg.Topo.NumCPUs())
@@ -520,10 +419,10 @@ func (r *Runner) initRunahead() {
 	for i, a := range r.arenaList {
 		writes[i] = make([]bool, len(a.stats))
 	}
-	for _, ds := range r.dec {
-		for i := range ds {
-			d := &ds[i]
-			if d.op == ir.OpLock || d.op == ir.OpUnlock || d.op == ir.OpField && d.write {
+	for _, code := range r.code {
+		for i := range code {
+			d := &code[i]
+			if d.op == opLock || d.op == opUnlock || d.op == opField && d.write {
 				writes[d.arena.idx][d.field] = true
 			}
 		}
@@ -544,83 +443,4 @@ func (r *Runner) initRunahead() {
 			}
 		}
 	}
-}
-
-// decode pre-resolves every instruction of the program against the run's
-// arenas, regions and procedures. Called once at Run start, after all
-// DefineArena calls; errors here are the ones the interpreter used to raise
-// lazily (missing arena, unknown region or callee).
-func (r *Runner) decode() error {
-	r.dec = make([][]decInstr, r.prog.NumBlocks())
-	for _, b := range r.prog.Blocks() {
-		ds := make([]decInstr, len(b.Instrs))
-		for i, in := range b.Instrs {
-			d := decInstr{op: in.Op, write: in.Acc == ir.Write}
-			switch in.Op {
-			case ir.OpCompute:
-				d.cycles = in.Cycles
-			case ir.OpCall:
-				d.callee = r.prog.Proc(in.Callee)
-				if d.callee == nil {
-					return fmt.Errorf("exec: unknown procedure %q called in %s", in.Callee, b.Name())
-				}
-			case ir.OpField, ir.OpLock, ir.OpUnlock:
-				a := r.arenas[in.Struct.Name]
-				if a == nil {
-					return fmt.Errorf("exec: no arena for struct %s accessed in %s", in.Struct.Name, b.Name())
-				}
-				d.arena = a
-				d.field = int32(in.Field)
-				d.fieldOff = int64(a.lay.Offsets[in.Field])
-				d.size = in.Struct.Fields[in.Field].Size
-				d.inst = in.Inst
-				if in.Inst.Kind == ir.InstShared {
-					d.instIdx = int32(in.Inst.Index % a.count)
-				}
-			case ir.OpMem:
-				reg := r.regions[in.Region]
-				if reg == nil {
-					return fmt.Errorf("exec: unknown region %q", in.Region)
-				}
-				d.region = reg
-				d.regionIdx = int32(r.regionIdx[in.Region])
-				d.pattern = in.Pattern
-				d.stride = in.Stride
-				d.offset = in.Offset
-			case ir.OpSpawn, ir.OpJoin, ir.OpSend, ir.OpRecv:
-				// Static-only fork/join skeleton markers: the interpreter
-				// models spawned tasks as declared threads, so these carry no
-				// dynamic semantics here (staticshare derives happens-before
-				// from them).
-			default:
-				return fmt.Errorf("exec: unknown opcode %d", in.Op)
-			}
-			ds[i] = d
-		}
-		if r.collector == nil && !r.slowPath {
-			ds = mergeComputes(ds)
-		}
-		r.dec[b.Global] = ds
-	}
-	return nil
-}
-
-// mergeComputes coalesces consecutive OpCompute instructions into one
-// superblock-local virtual-time update. Computes touch no shared state —
-// no coherence access, no profile count (blocks are counted at entry), no
-// lock — so executing a run of them under one yield check instead of one
-// per instruction cannot reorder any cross-thread access: a thread's time
-// waypoints inside a pure-compute span are invisible to every other
-// thread. Merging is disabled for sampled runs, where the collector must
-// observe each instruction's time advance individually.
-func mergeComputes(ds []decInstr) []decInstr {
-	out := ds[:0]
-	for _, d := range ds {
-		if d.op == ir.OpCompute && len(out) > 0 && out[len(out)-1].op == ir.OpCompute {
-			out[len(out)-1].cycles += d.cycles
-			continue
-		}
-		out = append(out, d)
-	}
-	return out
 }

@@ -10,8 +10,8 @@ import (
 	"structlayout/internal/sampling"
 )
 
-// buildMixedWorkload builds a program exercising every opcode the
-// superblock fast path can see: long compute runs (merge fodder), field
+// buildMixedWorkload builds a program exercising every op the code-stream
+// interpreter can see: long compute runs (merge fodder), field
 // reads/writes on shared and per-CPU instances, contended locks, calls,
 // region sweeps and random probes, probabilistic branches and nested
 // loops.
@@ -35,7 +35,7 @@ func buildMixedWorkload(ncpu int) (*ir.Program, *ir.StructType, []string) {
 	for cpu := 0; cpu < ncpu; cpu++ {
 		name := "mix" + string(rune('A'+cpu))
 		b := p.NewProc(name)
-		b.Compute(20).Compute(30).Compute(50) // merged into one superblock
+		b.Compute(20).Compute(30).Compute(50) // merged into one compute op
 		b.Loop(40, func(b *ir.Builder) {
 			b.Lock(s, "lock", ir.Shared(0))
 			b.Write(s, "hot", ir.Shared(0))
@@ -82,10 +82,10 @@ func runMixed(t *testing.T, slow bool, smp *sampling.Config) *Result {
 	return res
 }
 
-// TestFastPathEquivalence: the superblock interpreter must produce a
-// Result identical in every observable — cycles, per-thread finish times,
-// profile counts, coherence counters, per-field statistics — to the
-// reference one-instruction-per-step interpreter.
+// TestFastPathEquivalence: the fast path must produce a Result identical
+// in every observable — cycles, per-thread finish times, profile counts,
+// coherence counters, per-field statistics — to the slow path, which
+// times every compute separately and never runs ahead.
 func TestFastPathEquivalence(t *testing.T) {
 	fast := runMixed(t, false, nil)
 	slow := runMixed(t, true, nil)
@@ -97,8 +97,8 @@ func TestFastPathEquivalence(t *testing.T) {
 }
 
 // TestFastPathEquivalenceSampled: with a collector attached, compute
-// merging is disabled but the tight loop still runs; traces must match
-// sample for sample.
+// merging and runahead are off on both paths; traces must match sample
+// for sample.
 func TestFastPathEquivalenceSampled(t *testing.T) {
 	smp := func() *sampling.Config {
 		return &sampling.Config{IntervalCycles: 500, DriftMaxCycles: 4, LossProb: 0.05, Seed: 11}
@@ -114,13 +114,13 @@ func TestFastPathEquivalenceSampled(t *testing.T) {
 // TestMergeComputes checks the decode-time coalescing directly.
 func TestMergeComputes(t *testing.T) {
 	ds := []decInstr{
-		{op: ir.OpCompute, cycles: 3},
-		{op: ir.OpCompute, cycles: 4},
-		{op: ir.OpField},
-		{op: ir.OpCompute, cycles: 5},
-		{op: ir.OpCompute, cycles: 6},
-		{op: ir.OpCompute, cycles: 7},
-		{op: ir.OpCall},
+		{op: opCompute, cycles: 3},
+		{op: opCompute, cycles: 4},
+		{op: opField},
+		{op: opCompute, cycles: 5},
+		{op: opCompute, cycles: 6},
+		{op: opCompute, cycles: 7},
+		{op: opCall},
 	}
 	got := mergeComputes(ds)
 	if len(got) != 4 {
@@ -129,7 +129,7 @@ func TestMergeComputes(t *testing.T) {
 	if got[0].cycles != 7 || got[2].cycles != 18 {
 		t.Fatalf("merged cycles = %d, %d; want 7, 18", got[0].cycles, got[2].cycles)
 	}
-	if got[1].op != ir.OpField || got[3].op != ir.OpCall {
+	if got[1].op != opField || got[3].op != opCall {
 		t.Fatal("non-compute instructions moved")
 	}
 }

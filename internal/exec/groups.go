@@ -106,65 +106,54 @@ func (r *Runner) threadGroups() [][]*thread {
 	return groups
 }
 
-// footprintOf walks every ExecNode reachable from the thread's entry
-// procedure (following calls, cycle-safe) and collects the instances and
-// regions its decoded instructions can address.
+// footprintOf walks the thread's entry code stream and every stream it
+// can call (cycle-safe) and collects the instances and regions their
+// instructions can address.
 func (r *Runner) footprintOf(t *thread) footprint {
 	fp := footprint{
 		keys:   make(map[fpKey]struct{}),
 		arenas: make(map[int]struct{}),
 		wild:   make(map[int]struct{}),
 	}
-	visited := map[*ir.Procedure]bool{t.entry: true}
-	var walk func(nodes []ir.ExecNode)
-	walk = func(nodes []ir.ExecNode) {
-		for _, n := range nodes {
-			switch n := n.(type) {
-			case *ir.ExecBlock:
-				dins := r.dec[n.Block.Global]
-				for i := range dins {
-					d := &dins[i]
-					switch d.op {
-					case ir.OpCall:
-						if !visited[d.callee] {
-							visited[d.callee] = true
-							walk(d.callee.Tree)
-						}
-					case ir.OpField, ir.OpLock, ir.OpUnlock:
-						a := d.arena
-						fp.arenas[a.idx] = struct{}{}
-						inst := -1
-						switch d.inst.Kind {
-						case ir.InstShared:
-							inst = d.inst.Index % a.count
-						case ir.InstPerCPU:
-							inst = t.cpu % a.count
-						case ir.InstParam:
-							if d.inst.Index < len(t.params) {
-								inst = t.params[d.inst.Index] % a.count
-							}
-						}
-						if inst < 0 {
-							fp.wild[a.idx] = struct{}{}
-						} else {
-							fp.keys[fpKey{a.idx, inst}] = struct{}{}
-						}
-					case ir.OpMem:
-						// Per-thread regions are private (one thread per
-						// CPU); shared regions conflict whole.
-						if !d.region.perThread {
-							fp.keys[fpKey{-1, int(d.regionIdx)}] = struct{}{}
-						}
+	visited := make(map[int32]bool)
+	var walk func(code []decInstr)
+	walk = func(code []decInstr) {
+		for i := range code {
+			d := &code[i]
+			switch d.op {
+			case opCall:
+				if !visited[d.target] {
+					visited[d.target] = true
+					walk(r.code[d.target])
+				}
+			case opField, opLock, opUnlock:
+				a := d.arena
+				fp.arenas[a.idx] = struct{}{}
+				inst := -1
+				switch d.inst.Kind {
+				case ir.InstShared:
+					inst = d.inst.Index % a.count
+				case ir.InstPerCPU:
+					inst = t.cpu % a.count
+				case ir.InstParam:
+					if d.inst.Index < len(t.params) {
+						inst = t.params[d.inst.Index] % a.count
 					}
 				}
-			case *ir.ExecLoop:
-				walk(n.Body)
-			case *ir.ExecIf:
-				walk(n.Then)
-				walk(n.Else)
+				if inst < 0 {
+					fp.wild[a.idx] = struct{}{}
+				} else {
+					fp.keys[fpKey{a.idx, inst}] = struct{}{}
+				}
+			case opMem:
+				// Per-thread regions are private (one thread per CPU);
+				// shared regions conflict whole.
+				if !d.region.perThread {
+					fp.keys[fpKey{-1, int(d.regionIdx)}] = struct{}{}
+				}
 			}
 		}
 	}
-	walk(t.entry.Tree)
+	walk(t.code)
 	return fp
 }

@@ -102,7 +102,7 @@ func runRunahead(t *testing.T, slow bool, smp *sampling.Config, sim SimConfig) (
 
 // TestRunaheadEquivalence: read-only-hit runahead must leave every
 // observable of a run unchanged — exact, sampled, and with a PMU collector
-// — against the one-instruction-per-step reference interpreter, and in
+// — against the slow-path reference, which never runs ahead, and in
 // exact mode it must actually skip scheduler turns.
 func TestRunaheadEquivalence(t *testing.T) {
 	_, s, _ := buildRunaheadWorkload(1)

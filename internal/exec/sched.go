@@ -6,7 +6,6 @@ import (
 	"math/bits"
 
 	"structlayout/internal/coherence"
-	"structlayout/internal/ir"
 	"structlayout/internal/profile"
 )
 
@@ -86,14 +85,15 @@ func (g *engine) key(t *thread) int64 {
 // another thread's — executes only when its thread's pre-op (time, id) is
 // the lexicographic minimum over the group's runnable threads. Locks and
 // unlocks are always shared; field and region accesses are shared unless
-// sampled off-window (bounded runahead, see yieldCheck) or a read that
-// hits a line nothing writes (exempt, see commutes). Everything else (compute, calls,
-// control bookkeeping) never yields. Operations that cannot interact
-// commute with every other thread's, so executing them past the limit
-// changes nothing another thread observes. The order of shared operations
-// is therefore a pure function of the threads' virtual-time trajectories,
-// independent of yield granularity and of whatever other groups do — which
-// is what makes group-parallel execution byte-identical to serial.
+// sampled off-window (bounded runahead, see accessYields) or a read that
+// hits a line nothing writes (exempt, see readAhead). Everything else
+// (compute, calls, control bookkeeping) never yields. Operations that
+// cannot interact commute with every other thread's, so executing them
+// past the limit changes nothing another thread observes. The order of
+// shared operations is therefore a pure function of the threads'
+// virtual-time trajectories, independent of yield granularity and of
+// whatever other groups do — which is what makes group-parallel execution
+// byte-identical to serial.
 func (g *engine) run() error {
 	q := newSlotTree(g.idShift)
 	for _, t := range g.threads {
@@ -152,36 +152,29 @@ func (g *engine) checkCap(t *thread) error {
 	return nil
 }
 
-// yieldCheck reports whether the thread must yield before executing in: its
-// pre-op key (time, id) is no longer the group minimum AND the op is shared.
-// Off-window accesses in sampled mode get a bounded dispensation instead of
-// a full exemption: they may run up to simSlack cycles past the limit
-// before yielding. The slack is what buys the speedup (the thread crosses
-// the scheduler once per slack span instead of once per access), and its
-// bound is what contains the model error — a warm write can commit at most
-// simSlack cycles of virtual time earlier than exact order, so it cannot
-// invalidate a line a far-future reader would have hit.
-func (g *engine) yieldCheck(t *thread, limit int64, in *decInstr) bool {
-	if g.key(t) <= limit {
-		return false
+// accessYields reports whether a field or region access must yield once
+// its thread's pre-op key (time, id) is past the limit (locks and unlocks
+// always do). Off-window accesses in sampled mode get a bounded
+// dispensation instead of a full exemption: they may run up to simSlack
+// cycles past the limit before yielding. The slack is what buys the
+// speedup (the thread crosses the scheduler once per slack span instead of
+// once per access), and its bound is what contains the model error — a
+// warm write can commit at most simSlack cycles of virtual time earlier
+// than exact order, so it cannot invalidate a line a far-future reader
+// would have hit.
+func (g *engine) accessYields(t *thread, limit int64) bool {
+	if g.r.sim.enabled && !g.r.simOn(t) {
+		return t.time > limit>>g.idShift+g.r.sim.slack
 	}
-	switch in.op {
-	case ir.OpField, ir.OpMem:
-		if g.r.sim.enabled && !g.r.simOn(t) {
-			return t.time > limit>>g.idShift+g.r.sim.slack
-		}
-		return true
-	case ir.OpLock, ir.OpUnlock:
-		return true
-	}
-	return false
+	return true
 }
 
-// commutes reports whether the field access in at addr may run past the
-// scheduler limit (read-only-hit runahead): a read by a runahead thread
-// (see Runner.initRunahead) that touches one line no write, lock or unlock
-// instruction of the program can touch, and that hits in the reader's
-// cache. Such a read commutes with every other thread's operation:
+// readAhead performs the field access in at addr past the scheduler limit
+// and reports true when it may run there (read-only-hit runahead): a read
+// by a runahead thread (see Runner.initRunahead) that touches one line no
+// write, lock or unlock instruction of the program can touch, and that
+// hits in the reader's cache. Such a read commutes with every other
+// thread's operation:
 //
 //   - nothing can invalidate a never-written line, so it hits at its exact
 //     turn too, and its latency — hence the thread's trajectory — is the
@@ -191,9 +184,11 @@ func (g *engine) yieldCheck(t *thread, limit int64, in *decInstr) bool {
 //     downgradeOwner on any line) commute with the rotation;
 //   - the counters it bumps are commutative sums.
 //
-// Only the superblock fast path asks; the slow path stays the reference
-// that yields before every shared access.
-func (g *engine) commutes(t *thread, in *decInstr, addr int64) bool {
+// coherence.ReadHit probes and performs the hit in one scan; on a miss
+// nothing has happened and the access must wait for its turn. Runahead is
+// never enabled on the slow path, which stays the reference that yields
+// before every shared access.
+func (g *engine) readAhead(t *thread, in *decInstr, addr int64) bool {
 	r := g.r
 	if !t.runahead || in.write {
 		return false
@@ -202,7 +197,13 @@ func (g *engine) commutes(t *thread, in *decInstr, addr int64) bool {
 	if (addr+int64(in.size)-1)>>r.lineShift != line || r.written[line>>6]&(1<<(line&63)) != 0 {
 		return false
 	}
-	return r.coh.StateOf(t.cpu, addr) != coherence.Invalid
+	var res coherence.AccessResult
+	if !r.coh.ReadHit(t.cpu, addr, &res) {
+		return false
+	}
+	t.time += res.Latency
+	g.record(in.arena, in.field, &res)
+	return true
 }
 
 // idle is the key of a slot with no runnable thread.

@@ -213,8 +213,8 @@ func TestSampledWithinBound(t *testing.T) {
 }
 
 // TestSampledDeterministic: identical sampled configs replay identical
-// results, and the slow-path reference interpreter agrees with the
-// superblock path under sampling.
+// results, and the slow-path reference agrees with the fast path under
+// sampling.
 func TestSampledDeterministic(t *testing.T) {
 	prog, s, names := buildMixedWorkload(4)
 	sim := SimConfig{Mode: SimSampled, WindowOps: 1 << 7, Period: 4}
@@ -231,8 +231,7 @@ func TestSampledDeterministic(t *testing.T) {
 }
 
 // TestSampledSlowPathEquivalence: the gate and the off-window skip must act
-// identically in the superblock fast path and the one-step reference
-// interpreter.
+// identically in the fast path and the slow-path reference.
 func TestSampledSlowPathEquivalence(t *testing.T) {
 	prog, s, names := buildMixedWorkload(4)
 	sim := SimConfig{Mode: SimSampled, WindowOps: 1 << 7, Period: 4}

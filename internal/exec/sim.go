@@ -19,7 +19,7 @@ const (
 	// Off-window accesses are functionally warmed (SMARTS-style): they
 	// perform the full MESI transition and are charged its real latency,
 	// but record no statistics and cross the interleaving gate only once
-	// per bounded runahead span (yieldCheck) instead of per access — so
+	// per bounded runahead span (accessYields) instead of per access — so
 	// measured windows open on exact-run cache state, and the saving
 	// comes from skipping per-access statistics, miss classification and
 	// scheduler yields, not from skipping the accesses. Locks are always
@@ -99,7 +99,7 @@ type simState struct {
 	period  uint64
 	seed    uint64
 	// slack bounds how far past the scheduler limit an off-window access
-	// may run before yielding (see yieldCheck).
+	// may run before yielding (see accessYields).
 	slack int64
 }
 
@@ -180,9 +180,9 @@ func (r *Runner) simOn(t *thread) bool {
 	return t.winOn
 }
 
-// simNext is simOn plus the op-counter advance: execInstr calls it exactly
-// once per field/region access. The yield gate (yieldCheck) peeks with
-// simOn — same decision, no advance.
+// simNext is simOn plus the op-counter advance: the interpreter calls it
+// exactly once per field/region access. The yield gate (accessYields)
+// peeks with simOn — same decision, no advance.
 func (r *Runner) simNext(t *thread) bool {
 	on := r.simOn(t)
 	t.ops++

@@ -8,34 +8,6 @@ import (
 	"structlayout/internal/ir"
 )
 
-// frameKind discriminates interpreter stack frames.
-type frameKind uint8
-
-const (
-	fSeq frameKind = iota
-	fLoop
-	fIf
-	fBlock
-)
-
-// frame is one entry of a thread's explicit interpreter stack. Threads must
-// be suspendable between any two instructions (the scheduler interleaves by
-// virtual time), so the interpreter cannot use Go recursion.
-type frame struct {
-	kind frameKind
-
-	nodes []ir.ExecNode // fSeq
-	idx   int           // fSeq: next node; fBlock: next instruction
-
-	loop *ir.ExecLoop // fLoop
-	iter int64        // fLoop: next iteration index
-
-	ifn *ir.ExecIf // fIf (phase: arm already pushed; next step counts join)
-
-	block *ir.BasicBlock // fBlock
-	dins  []decInstr     // fBlock: the block's pre-decoded instructions
-}
-
 // thread is one simulated kernel thread pinned to a CPU.
 type thread struct {
 	id     int
@@ -45,8 +17,14 @@ type thread struct {
 	iters  int64
 	rng    *rand.Rand
 
-	time     int64
-	stack    []frame
+	time int64
+	// code is the stream of the procedure the thread is in and pc its next
+	// op; rets holds the return addresses of the calls in progress. A
+	// thread suspends between any two ops (the scheduler interleaves by
+	// virtual time), so this is its whole control state.
+	code     []decInstr
+	pc       int
+	rets     []retAddr
 	loopVals []int64 // innermost loop induction values, last = innermost
 	cursors  []int64 // per-region streaming cursors, indexed by region
 	curBlock *ir.BasicBlock
@@ -54,7 +32,7 @@ type thread struct {
 	done   bool
 	parked bool
 	// runahead lets the thread's read-only cache hits skip the scheduler
-	// (see Runner.initRunahead and engine.commutes).
+	// (see Runner.initRunahead and engine.readAhead).
 	runahead bool
 
 	// Sampled-mode state (see sim.go): the access counter that clocks the
@@ -71,6 +49,12 @@ type thread struct {
 	// so the access hot path replaces the per-access modulo with a load.
 	instPerCPU []int32 // by arena.idx
 	instParam  []int32 // by arena.idx*Runner.nparams + param index
+}
+
+// retAddr is where a call returns to.
+type retAddr struct {
+	code []decInstr
+	pc   int
 }
 
 // buildInstTables fills every thread's instance tables. Called once at Run
@@ -95,8 +79,10 @@ func (r *Runner) buildInstTables() {
 
 // instIndex resolves a decoded instruction's instance: shared instances
 // were resolved at decode, per-CPU and parameter instances come from the
-// thread's tables, and only loop-variable instances (which change every
-// iteration) take the generic path.
+// thread's tables, and a loop-variable instance is the innermost induction
+// value itself while that is below the arena's count — true of every loop
+// the SDET workload runs — so only longer loops pay resolveInstance's
+// modulo.
 func (r *Runner) instIndex(t *thread, a *arena, in *decInstr) (int, error) {
 	switch in.inst.Kind {
 	case ir.InstShared:
@@ -108,109 +94,154 @@ func (r *Runner) instIndex(t *thread, a *arena, in *decInstr) (int, error) {
 			return 0, fmt.Errorf("exec: thread %d has no param %d", t.id, in.inst.Index)
 		}
 		return int(t.instParam[a.idx*r.nparams+in.inst.Index]), nil
+	case ir.InstLoopVar:
+		if n := len(t.loopVals); n > 0 {
+			if v := t.loopVals[n-1]; v < int64(a.count) {
+				return int(v), nil
+			}
+		}
 	}
 	return r.resolveInstance(t, a, in.inst)
 }
 
-func (t *thread) pushSeq(nodes []ir.ExecNode) {
-	t.stack = append(t.stack, frame{kind: fSeq, nodes: nodes})
-}
-
-// step advances the thread by one interpreter action (typically one
-// instruction). It updates profile counts, virtual time, coherence state
-// and samples as side effects. It returns true when the thread must yield
-// before a shared instruction it no longer has the right to execute.
-func (g *engine) step(t *thread, limit int64) (bool, error) {
+// runUntil is the interpreter: it executes the thread's code stream until
+// the thread yields the CPU — it would execute a shared operation without
+// holding the group's lexicographic-minimum (time, id), it parks on a
+// lock, it wakes another thread, or it finishes.
+//
+// The yield condition is checked before every field, region, lock and
+// unlock op (see engine.run for the invariant), so the global order of
+// interacting operations is a pure function of thread time trajectories —
+// bit-identical between the fast path, the slow path and any grouping.
+// The fast path alone lets read-only cache hits run past the limit
+// (engine.readAhead); they interact with nothing, so results stay
+// identical while the slow path keeps its yield before every access.
+func (g *engine) runUntil(t *thread, limit int64) error {
 	r := g.r
-	if len(t.stack) == 0 {
-		// One top-level iteration ("script") finished.
-		g.completed++
-		t.iters--
-		if t.iters <= 0 {
-			t.done = true
-			return false, nil
-		}
-		t.pushSeq(t.entry.Tree)
-		return false, nil
-	}
-	f := &t.stack[len(t.stack)-1]
-	switch f.kind {
-	case fSeq:
-		if f.idx >= len(f.nodes) {
-			t.pop()
-			return false, nil
-		}
-		n := f.nodes[f.idx]
-		f.idx++
-		switch n := n.(type) {
-		case *ir.ExecBlock:
-			g.prof.IncrBlock(n.Block.Global)
-			t.curBlock = n.Block
-			if len(n.Block.Instrs) == 0 {
-				t.time += r.cfg.BranchCost
-				g.sample(t)
-			} else if dins := r.dec[n.Block.Global]; !r.slowPath && r.collector == nil && len(dins) == 1 && dins[0].op == ir.OpCompute {
-				// A pure-compute block (decode merged its instructions into
-				// one) needs no frame: charge its cycles at entry. Invisible
-				// to scheduling — computes never yield.
-				t.time += dins[0].cycles
-			} else {
-				t.stack = append(t.stack, frame{kind: fBlock, block: n.Block, dins: dins})
+	code, pc := t.code, t.pc
+loop:
+	for {
+		in := &code[pc]
+		switch in.op {
+		case opField:
+			// Resolve the address once, for both the runahead test and the
+			// access. An unresolvable instance yields like any access and
+			// fails only when it would execute.
+			addr, err := r.fieldAddr(t, in)
+			if g.key(t) > limit {
+				if err == nil && g.readAhead(t, in, addr) {
+					pc++
+					continue
+				}
+				if g.accessYields(t, limit) {
+					break loop
+				}
 			}
-		case *ir.ExecLoop:
-			g.prof.AddLoop(n.Loop.Global, n.Count)
-			t.stack = append(t.stack, frame{kind: fLoop, loop: n})
-			t.loopVals = append(t.loopVals, 0)
-		case *ir.ExecIf:
-			g.prof.IncrBlock(n.Cond.Global)
-			t.curBlock = n.Cond
-			t.time += r.cfg.BranchCost
+			if err != nil {
+				return err
+			}
+			pc++
+			g.accessField(t, in, addr)
+		case opMem:
+			if g.key(t) > limit && g.accessYields(t, limit) {
+				break loop
+			}
+			pc++
+			if err := g.accessMem(t, in); err != nil {
+				return err
+			}
+		case opCompute:
+			pc++
+			t.time += in.cycles
 			g.sample(t)
-			arm := n.Then
-			if t.rng.Float64() >= n.Prob {
-				arm = n.Else
+		case opLock:
+			if g.key(t) > limit {
+				break loop
 			}
-			t.stack = append(t.stack, frame{kind: fIf, ifn: n})
-			t.pushSeq(arm)
+			pc++
+			if err := g.execLock(t, in); err != nil {
+				return err
+			}
+			if t.parked {
+				break loop
+			}
+		case opUnlock:
+			if g.key(t) > limit {
+				break loop
+			}
+			pc++
+			if err := g.execUnlock(t, in); err != nil {
+				return err
+			}
+			if len(g.woken) > 0 {
+				break loop
+			}
+		case opCall:
+			t.time += r.cfg.CallOverhead
+			t.rets = append(t.rets, retAddr{code, pc + 1})
+			code, pc = r.code[in.target], 0
+			g.sample(t)
+		case opBlock:
+			pc++
+			g.prof.IncrBlock(in.block.Global)
+			t.curBlock = in.block
+		case opCtl:
+			pc++
+			g.ctl(t, in.block)
+		case opLoopEnter:
+			pc++
+			g.prof.AddLoop(int(in.field), in.cycles)
+			// The head's first test advances the induction value to 0.
+			t.loopVals = append(t.loopVals, -1)
+		case opLoopHead:
+			// Each visit is one header test.
+			g.ctl(t, in.block)
+			top := len(t.loopVals) - 1
+			if next := t.loopVals[top] + 1; next < in.cycles {
+				t.loopVals[top] = next
+				pc++
+			} else {
+				t.loopVals = t.loopVals[:top]
+				pc = int(in.target)
+			}
+		case opBranch:
+			g.ctl(t, in.block)
+			pc++
+			if t.rng.Float64() >= in.prob {
+				pc = int(in.target)
+			}
+		case opJump:
+			pc = int(in.target)
+		case opReturn:
+			if n := len(t.rets); n > 0 {
+				code, pc = t.rets[n-1].code, t.rets[n-1].pc
+				t.rets = t.rets[:n-1]
+				continue
+			}
+			// One top-level iteration ("script") finished.
+			pc = 0
+			g.completed++
+			t.iters--
+			if t.iters <= 0 {
+				t.done = true
+				break loop
+			}
 		default:
-			return false, fmt.Errorf("exec: unknown node %T", n)
+			return fmt.Errorf("exec: unknown op %d", in.op)
 		}
-	case fLoop:
-		// Each visit is one header test.
-		g.prof.IncrBlock(f.loop.Loop.Header.Global)
-		t.curBlock = f.loop.Loop.Header
-		t.time += r.cfg.BranchCost
-		g.sample(t)
-		if f.iter < f.loop.Count {
-			t.loopVals[len(t.loopVals)-1] = f.iter
-			f.iter++
-			t.pushSeq(f.loop.Body)
-		} else {
-			t.loopVals = t.loopVals[:len(t.loopVals)-1]
-			t.pop()
-		}
-	case fIf:
-		g.prof.IncrBlock(f.ifn.Join.Global)
-		t.curBlock = f.ifn.Join
-		t.time += r.cfg.BranchCost
-		g.sample(t)
-		t.pop()
-	case fBlock:
-		if f.idx >= len(f.dins) {
-			t.pop()
-			return false, nil
-		}
-		in := &f.dins[f.idx]
-		if g.yieldCheck(t, limit, in) {
-			return true, nil
-		}
-		f.idx++
-		return false, g.execInstr(t, in)
 	}
-	return false, nil
+	t.code, t.pc = code, pc
+	return nil
 }
 
-func (t *thread) pop() { t.stack = t.stack[:len(t.stack)-1] }
+// ctl executes a control block: counts it, makes it current and charges
+// one branch.
+func (g *engine) ctl(t *thread, b *ir.BasicBlock) {
+	g.prof.IncrBlock(b.Global)
+	t.curBlock = b
+	t.time += g.r.cfg.BranchCost
+	g.sample(t)
+}
 
 // sample lets the collector observe the thread's new time.
 func (g *engine) sample(t *thread) {
@@ -241,48 +272,23 @@ func (r *Runner) resolveInstance(t *thread, a *arena, e ir.InstExpr) (int, error
 	}
 }
 
-// execInstr runs one pre-decoded instruction, charging latency and
-// recording stats.
-func (g *engine) execInstr(t *thread, in *decInstr) error {
+// accessMem performs a region access.
+func (g *engine) accessMem(t *thread, in *decInstr) error {
 	r := g.r
-	switch in.op {
-	case ir.OpCompute:
-		t.time += in.cycles
-		g.sample(t)
-	case ir.OpCall:
-		t.time += r.cfg.CallOverhead
-		t.pushSeq(in.callee.Tree)
-		g.sample(t)
-	case ir.OpField:
-		addr, err := r.fieldAddr(t, in)
-		if err != nil {
-			return err
-		}
-		g.accessField(t, in, addr)
-	case ir.OpMem:
-		addr, err := r.memAddr(t, in)
-		if err != nil {
-			return err
-		}
-		if r.sim.enabled && !r.simNext(t) {
-			res := r.coh.Warm(t.cpu, addr, 8, in.write)
-			t.time += res.Latency
-			t.offOps++
-			return nil
-		}
-		var res coherence.AccessResult
-		r.coh.AccessInto(t.cpu, addr, 8, in.write, &res)
-		t.time += res.Latency
-		g.sample(t)
-	case ir.OpLock:
-		return g.execLock(t, in)
-	case ir.OpUnlock:
-		return g.execUnlock(t, in)
-	case ir.OpSpawn, ir.OpJoin, ir.OpSend, ir.OpRecv:
-		// Static-only markers (see decode): no time, no traffic.
-	default:
-		return fmt.Errorf("exec: unknown opcode %d", in.op)
+	addr, err := r.memAddr(t, in)
+	if err != nil {
+		return err
 	}
+	if r.sim.enabled && !r.simNext(t) {
+		res := r.coh.Warm(t.cpu, addr, 8, in.write)
+		t.time += res.Latency
+		t.offOps++
+		return nil
+	}
+	var res coherence.AccessResult
+	r.coh.AccessInto(t.cpu, addr, 8, in.write, &res)
+	t.time += res.Latency
+	g.sample(t)
 	return nil
 }
 

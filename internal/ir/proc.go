@@ -94,9 +94,9 @@ func (l *Loop) AllBlocks() []*BasicBlock {
 }
 
 // ExecNode is a node of the structured execution tree the interpreter
-// walks. Lowering produces one tree per procedure whose leaves reference
-// the CFG blocks, so interpretation and CFG-based analysis agree exactly on
-// block execution counts.
+// compiles into its code stream. Lowering produces one tree per procedure
+// whose leaves reference the CFG blocks, so interpretation and CFG-based
+// analysis agree exactly on block execution counts.
 type ExecNode interface{ execNode() }
 
 // ExecBlock executes one basic block's instructions.
